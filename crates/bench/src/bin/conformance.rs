@@ -8,7 +8,7 @@
 //! ```text
 //! conformance [--jobs N] [--model-threads N] [--steal-batch N]
 //!             [--max-states N] [--max-resident N] [--timeout-secs S]
-//!             [--context-bound N] [--reduced] [--distributed N]
+//!             [--context-bound N] [--reduced]
 //!             [--cache DIR] [--expect-cached]
 //!             [--json PATH] [--library-only] [--paper-only] [--quiet]
 //! ```
@@ -27,12 +27,6 @@
 //! decoded states (overflow spills to temp files through the canonical
 //! state codec; `0` = unlimited), so total frontier memory is bounded by
 //! `jobs × N × sizeof(state)` however big the state spaces get.
-//!
-//! `--distributed N` runs each exploration on N worker *processes*
-//! (digest-partitioned visited set, shard-routed frontier batches —
-//! `crates/model/src/distrib.rs`); the binary re-executes itself as
-//! the workers. Verdicts and counts are byte-identical to the
-//! in-process engines, so the exit policy is unchanged.
 //!
 //! `--reduced` turns on sleep-set partial-order reduction: the same
 //! final-state verdicts (the POR differential pins this), fewer explored
@@ -65,7 +59,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--max-resident",
     "--timeout-secs",
     "--context-bound",
-    "--distributed",
     "--cache",
     "--json",
 ];
@@ -75,20 +68,16 @@ const BOOL_FLAGS: &[&str] = &[
     "--library-only",
     "--paper-only",
     "--quiet",
-    "--tcp",
     "--expect-cached",
 ];
 
 const USAGE: &str = "conformance [--jobs N] [--model-threads N] [--steal-batch N] \
      [--max-states N] [--max-resident N] [--timeout-secs S] [--context-bound N] \
-     [--reduced] [--distributed N] [--tcp] [--cache DIR] [--expect-cached] \
+     [--reduced] [--cache DIR] [--expect-cached] \
      [--json PATH] [--library-only] [--paper-only] [--quiet]";
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    // Under --distributed this binary re-executes itself as the worker
-    // processes; a worker never returns from here.
-    ppc_litmus::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_flags("conformance", &args, VALUE_FLAGS, BOOL_FLAGS, USAGE);
     let jobs: usize = parse_arg("conformance", &args, "--jobs", 0);
@@ -103,8 +92,6 @@ fn main() {
     let max_resident: usize = parse_arg("conformance", &args, "--max-resident", 0);
     let timeout_secs: u64 = parse_arg("conformance", &args, "--timeout-secs", 0);
     let context_bound: usize = parse_nonzero_arg("conformance", &args, "--context-bound", 0);
-    let distributed: usize = parse_arg("conformance", &args, "--distributed", 0);
-    let tcp = args.iter().any(|a| a == "--tcp");
     let reduced = args.iter().any(|a| a == "--reduced");
     let cache = arg_value(&args, "--cache");
     let expect_cached = args.iter().any(|a| a == "--expect-cached");
@@ -141,13 +128,11 @@ fn main() {
         } else {
             Some(Duration::from_secs(timeout_secs))
         },
-        distributed,
-        tcp,
     };
 
     eprintln!(
         "conformance: {} tests, {} jobs × {} model threads (budgeted from {} requested), \
-         {} state budget{}{}{}{}{}",
+         {} state budget{}{}{}{}",
         entries.len(),
         cfg.pool_size(entries.len()),
         cfg.inner_threads_for(cfg.pool_size(entries.len())),
@@ -163,14 +148,6 @@ fn main() {
             String::new()
         } else {
             format!(", context bound {context_bound} (approximate tier)")
-        },
-        if distributed == 0 {
-            String::new()
-        } else {
-            format!(
-                ", {distributed} distributed worker processes{}",
-                if tcp { " (loopback TCP)" } else { "" }
-            )
         },
         cfg.timeout_per_test
             .map(|t| format!(", {}s timeout", t.as_secs()))

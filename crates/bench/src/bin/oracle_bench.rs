@@ -297,11 +297,6 @@ fn run_suite_once(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    // Keep the worker hook even though oracle_bench has no --distributed
-    // flag yet: any future distributed timing row re-executes this
-    // binary, and a binary without the hook would run the whole bench
-    // suite instead of becoming a worker.
-    ppc_litmus::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_flags("oracle_bench", &args, VALUE_FLAGS, BOOL_FLAGS, USAGE);
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_oracle.json".to_owned());

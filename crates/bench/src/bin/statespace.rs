@@ -17,14 +17,6 @@
 //! cross-check is skipped and rows are labelled). For contrast it also
 //! shows the per-test cost of a sequential run.
 //!
-//! `--distributed N` swaps the in-process parallel engine for the
-//! multi-process distributed oracle (N forked workers, each owning a
-//! digest-prefix shard of the visited set; `crates/model/src/distrib.rs`),
-//! cross-checked against the sequential engine under the same rules.
-//! `--checkpoint PATH` makes each distributed exploration resumable:
-//! a budget/deadline pause writes `PATH.<test>`, and a rerun picks up
-//! where it stopped (the file is deleted on completion).
-//!
 //! `--cache DIR` serves the *sequential* (t1) column through the oracle
 //! service's content-addressed result store (`crates/service`): a warm
 //! run re-serves the stored record instead of re-exploring, and cached
@@ -33,18 +25,8 @@
 //! holds — a cached record was produced under identical model
 //! parameters, so its counts must agree with the freshly-run parallel
 //! engine.
-//!
-//! `--tcp` moves the distributed run onto loopback TCP (same wire
-//! protocol, the multi-machine transport). For an actual multi-machine
-//! run the coordinator takes `--listen ADDR` and spawns nothing, while
-//! each worker machine runs `statespace --connect HOST:PORT` — a
-//! long-lived worker loop that serves one exploration per connection
-//! and reconnects (with bounded-retry backoff) for the next ladder
-//! test. Liveness tunables: `PPCMEM_DISTRIB_HEARTBEAT_MS`,
-//! `PPCMEM_DISTRIB_PEER_TIMEOUT_MS`, `PPCMEM_DISTRIB_ACCEPT_SECS`.
 
 use bench::args::{arg_value, check_flags, parse_arg, parse_nonzero_arg};
-use ppc_litmus::distrib::{run_source_distributed, DistribConfig, WorkerLaunch};
 use ppc_litmus::harness::{HarnessConfig, Job};
 use ppc_litmus::{library, parse, run_limited};
 use ppc_model::{resolve_threads, run_sequential, ExploreLimits, ModelParams};
@@ -57,18 +39,13 @@ const VALUE_FLAGS: &[&str] = &[
     "--steal-batch",
     "--max-resident",
     "--context-bound",
-    "--distributed",
-    "--checkpoint",
-    "--listen",
-    "--connect",
     "--cache",
 ];
 /// Boolean flags.
-const BOOL_FLAGS: &[&str] = &["--reduced", "--tcp"];
+const BOOL_FLAGS: &[&str] = &["--reduced"];
 
 const USAGE: &str = "statespace [--threads N] [--steal-batch N] [--max-resident N] \
-     [--context-bound N] [--reduced] [--distributed N] [--checkpoint PATH] \
-     [--tcp] [--listen ADDR] [--connect HOST:PORT] [--cache DIR]";
+     [--context-bound N] [--reduced] [--cache DIR]";
 
 /// The ladder of representative tests, roughly by state-space size.
 pub const LADDER: &[&str] = &[
@@ -88,23 +65,8 @@ pub const LADDER: &[&str] = &[
 ];
 
 fn main() {
-    // Under --distributed this binary re-executes itself as the worker
-    // processes; a worker never returns from here.
-    ppc_litmus::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_flags("statespace", &args, VALUE_FLAGS, BOOL_FLAGS, USAGE);
-    // `--connect` makes this process a multi-machine worker: it serves
-    // distributed explorations for a remote coordinator until the
-    // coordinator goes away for good, then exits.
-    if let Some(addr) = arg_value(&args, "--connect") {
-        match ppc_litmus::run_remote_worker(&addr) {
-            Ok(()) => std::process::exit(0),
-            Err(e) => {
-                eprintln!("statespace --connect {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     // The default worker count is clamped to the machine (matching
     // `HarnessConfig::inner_threads_for`): 4 time-sliced workers on a
     // 1-CPU host only measure scheduler churn. An explicit --threads is
@@ -113,21 +75,8 @@ fn main() {
     let steal_batch: usize = parse_nonzero_arg("statespace", &args, "--steal-batch", 0);
     let max_resident: usize = parse_arg("statespace", &args, "--max-resident", 0);
     let context_bound: usize = parse_nonzero_arg("statespace", &args, "--context-bound", 0);
-    let distributed: usize = parse_arg("statespace", &args, "--distributed", 0);
-    let checkpoint = arg_value(&args, "--checkpoint");
     let cache = arg_value(&args, "--cache");
     let reduced = args.iter().any(|a| a == "--reduced");
-    let tcp = args.iter().any(|a| a == "--tcp");
-    let listen = arg_value(&args, "--listen");
-    let launch = match &listen {
-        Some(addr) => WorkerLaunch::TcpListen(addr.clone()),
-        None if tcp => WorkerLaunch::TcpLoopback,
-        None => WorkerLaunch::Unix,
-    };
-    if listen.is_some() && distributed == 0 {
-        eprintln!("statespace: --listen requires --distributed N (the worker count to wait for)");
-        std::process::exit(2);
-    }
 
     let params = ModelParams {
         steal_batch,
@@ -153,21 +102,6 @@ fn main() {
         println!("t1 column served via oracle cache at {dir} (cached rows marked *)");
         oracle
     });
-    if distributed != 0 {
-        let transport = match &launch {
-            WorkerLaunch::Unix => String::new(),
-            WorkerLaunch::TcpLoopback => " over loopback TCP".to_owned(),
-            WorkerLaunch::TcpListen(addr) => format!(" listening on {addr} (external workers)"),
-        };
-        println!(
-            "distributed engine: {distributed} worker processes{transport}, \
-             digest-prefix sharded visited set{}",
-            checkpoint
-                .as_deref()
-                .map(|p| format!(", checkpointing to {p}.<test>"))
-                .unwrap_or_default()
-        );
-    }
     println!(
         "parallel engine: work-stealing, {threads} workers, steal batch {}{}{}{}",
         params.effective_steal_batch(),
@@ -190,11 +124,7 @@ fn main() {
         "transitions",
         "finals",
         "t1(s)",
-        if distributed != 0 {
-            format!("d{distributed}(s)")
-        } else {
-            format!("t{threads}(s)")
-        },
+        format!("t{threads}(s)"),
         "speedup"
     );
     println!("{}", "-".repeat(84));
@@ -236,32 +166,16 @@ fn main() {
         };
         let dt1 = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let rn = if distributed != 0 {
-            let dcfg = DistribConfig {
-                workers: distributed,
-                checkpoint: checkpoint
-                    .as_deref()
-                    .map(|p| std::path::PathBuf::from(format!("{p}.{name}"))),
-                launch: launch.clone(),
-                ..DistribConfig::default()
-            };
-            let r = run_source_distributed(e.source, &params, &par, &dcfg);
-            if let Some(err) = &r.stats.store_error {
-                eprintln!("{name}: distributed run degraded: {err}");
-            }
-            r
-        } else {
-            run_limited(&test, &params, &par)
-        };
+        let rn = run_limited(&test, &params, &par);
         let dtn = t0.elapsed().as_secs_f64();
         if context_bound != 0 {
             // Bounded exploration is order-dependent (which path first
             // reaches a state fixes its switch budget), so the engines
             // may legitimately disagree — no cross-check.
         } else if rn.stats.truncated {
-            // A truncated run (budget/deadline pause or a degraded
-            // distributed run) legitimately saw a prefix; the row is
-            // still printed but cannot be cross-checked.
+            // A truncated run (budget or deadline hit) legitimately
+            // saw a prefix; the row is still printed but cannot be
+            // cross-checked.
             eprintln!("{name}: truncated — cross-check skipped");
         } else if reduced {
             // The reduction guarantees identical *finals*; explored

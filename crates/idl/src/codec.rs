@@ -15,8 +15,8 @@
 //! Because the enumeration is purely structural, the encoding is also
 //! stable across two *independently built* systems for the same program:
 //! the bytes contain block indices and values, never addresses. This is
-//! what the `Arc`-pointer-based digests cannot give, and what makes
-//! resumable and distributed exploration possible.
+//! what the `Arc`-pointer-based digests cannot give, and what lets the
+//! committed golden encodings pin the format byte for byte.
 
 use crate::ast::{BarrierKind, Block, Local, Sem, Stmt};
 use crate::eval::Env;

@@ -185,9 +185,10 @@ impl std::hash::Hash for InstrState {
     /// index in the canonical [`crate::sem_blocks`] enumeration, never
     /// by `Arc` pointer. A pointer is a valid identity proxy within one
     /// process (semantics are shared via a per-address cache) but
-    /// differs between processes, and the distributed oracle's
-    /// digest-partitioned visited set needs every worker to compute the
-    /// same hash for the same logical state. The semantics itself is
+    /// differs between independently built systems, and a state digest
+    /// must depend on the state's content alone: the same logical state
+    /// gets the same hash however its semantics were allocated, so
+    /// digests are reproducible from run to run. The semantics itself is
     /// not hashed at all: within a process `Eq` ties it to the pointer,
     /// and every digest embedding this hash also hashes the owning
     /// instruction's address, which identifies the semantics.

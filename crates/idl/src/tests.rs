@@ -435,11 +435,11 @@ fn clone_is_a_true_snapshot() {
     assert!(matches!(replay.step().unwrap(), Outcome::ReadReg { .. }));
 }
 
-/// The digest-partitioned distributed oracle requires `InstrState`'s
-/// hash to be identical across *processes*: a state decoded against a
-/// freshly built (different-allocation, content-equal) semantics must
-/// hash the same as the original. Pointer-based hashing passes every
-/// single-process test and silently breaks exactly this.
+/// `InstrState`'s hash depends on content alone: a state decoded
+/// against a freshly built (different-allocation, content-equal)
+/// semantics must hash the same as the original. Pointer-based hashing
+/// passes every test that reuses one build and silently breaks exactly
+/// this.
 #[test]
 fn instr_state_hash_is_rebuild_stable() {
     use crate::codec::{decode_instr_state, encode_instr_state, sem_blocks};
@@ -453,7 +453,7 @@ fn instr_state_hash_is_rebuild_stable() {
     }
 
     // Two builds of the same semantics: content-equal, disjoint Arcs —
-    // what two worker processes see after parsing the same program.
+    // what two independent parses of the same program produce.
     let ours = stw_sem(7, 1, 0);
     let theirs = stw_sem(7, 1, 0);
     assert!(!Arc::ptr_eq(&ours, &theirs));

@@ -6,7 +6,7 @@
 //! This is the repo's standing test oracle: the §7 concurrent validation
 //! ("we ran the tool on a library of litmus tests...comparing the model
 //! verdicts against the architectural intent") packaged as a reusable
-//! engine. Tests are distributed over a worker pool (test-level
+//! engine. Tests are spread over a worker pool (test-level
 //! parallelism composes with the oracle's own work-stealing parallelism
 //! via [`ModelParams::threads`], with the per-test exploration thread
 //! budget clamped by [`HarnessConfig::inner_threads_for`] so the two
@@ -45,9 +45,6 @@ pub struct Job {
     /// use [`Expectation::Allowed`], making `match` read as "was the
     /// condition witnessed".
     pub expect: Expectation,
-    /// The original `.litmus` source (retained because distributed
-    /// workers re-parse it locally).
-    pub source: String,
     /// The parsed test (parse once, run many).
     pub test: LitmusTest,
 }
@@ -66,7 +63,6 @@ impl Job {
             name: entry.name.to_owned(),
             pinned_by: entry.pinned_by.to_owned(),
             expect: entry.expect,
-            source: entry.source.to_owned(),
             test,
         }
     }
@@ -87,7 +83,6 @@ impl Job {
             name: test.name.clone(),
             pinned_by: pinned_by.to_owned(),
             expect,
-            source: source.to_owned(),
             test,
         })
     }
@@ -111,16 +106,6 @@ pub struct HarnessConfig {
     pub jobs: usize,
     /// Per-test wall-clock budget (soft; checked between search rounds).
     pub timeout_per_test: Option<Duration>,
-    /// Worker *processes* per exploration (`0` = in-process engines).
-    /// When non-zero each test runs on the distributed oracle
-    /// ([`crate::distrib`]): the harness binary re-executes itself as
-    /// the workers, so its `main` must call
-    /// [`crate::distrib::maybe_run_worker`] first.
-    pub distributed: usize,
-    /// Run distributed explorations over loopback TCP instead of Unix
-    /// sockets (exercises the multi-machine wire path; ignored when
-    /// `distributed` is `0`).
-    pub tcp: bool,
 }
 
 impl HarnessConfig {
@@ -201,9 +186,6 @@ pub struct TestReport {
     /// traffic; `0` when `max_resident_states` is unlimited or never
     /// exceeded).
     pub spilled: usize,
-    /// Distributed worker processes the exploration ran on (`0` = the
-    /// in-process engines).
-    pub workers: usize,
     /// Wall-clock time for the exploration.
     pub wall: Duration,
 }
@@ -233,12 +215,14 @@ impl TestReport {
     /// Schema evolution is *additive only*: existing fields keep their
     /// names and order (`resident_peak` was appended in the spill-store
     /// change, `bounded` in the context-bounding change, and
-    /// `spilled`/`workers` in the distributed-oracle change; everything
-    /// before `resident_peak` is bit-for-bit the PR 2 schema).
+    /// `spilled`/`workers` after that; everything before
+    /// `resident_peak` is bit-for-bit the PR 2 schema). `workers` is
+    /// retired and always `0`; it stays in the line so the schema keeps
+    /// every field it ever had.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\":{},\"expected\":\"{}\",\"model\":\"{}\",\"match\":{},\"conclusive\":{},\"truncated\":{},\"states\":{},\"transitions\":{},\"finals\":{},\"wall_ms\":{:.3},\"pinned_by\":{},\"resident_peak\":{},\"bounded\":{},\"spilled\":{},\"workers\":{}}}",
+            "{{\"name\":{},\"expected\":\"{}\",\"model\":\"{}\",\"match\":{},\"conclusive\":{},\"truncated\":{},\"states\":{},\"transitions\":{},\"finals\":{},\"wall_ms\":{:.3},\"pinned_by\":{},\"resident_peak\":{},\"bounded\":{},\"spilled\":{},\"workers\":0}}",
             json_str(&self.name),
             self.expected,
             self.verdict(),
@@ -253,7 +237,6 @@ impl TestReport {
             self.resident_peak,
             self.bounded,
             self.spilled,
-            self.workers,
         )
     }
 
@@ -263,8 +246,9 @@ impl TestReport {
     /// Every field of the schema
     /// (`name`/`expected`/`model`/`match`/`conclusive`/`truncated`/
     /// `states`/`transitions`/`finals`/`wall_ms`/`pinned_by`/
-    /// `resident_peak`/`bounded`/`spilled`/`workers`) must be present,
-    /// and the redundant
+    /// `resident_peak`/`bounded`/`spilled`/`workers`) must be present
+    /// (the value of the retired `workers` field is ignored), and the
+    /// redundant
     /// `conclusive` field must agree with the value derived from
     /// `truncated`, `bounded`, and `model` — a disagreement means the
     /// producer and consumer have drifted.
@@ -311,6 +295,7 @@ impl TestReport {
             "Forbidden" => false,
             other => return Err(format!("unknown model verdict `{other}`")),
         };
+        get("workers")?;
         let wall_ms: f64 = get("wall_ms")?
             .parse()
             .map_err(|_| "`wall_ms` is not a number".to_owned())?;
@@ -327,7 +312,6 @@ impl TestReport {
             resident_peak: get_usize("resident_peak")?,
             bounded: get_bool("bounded")?,
             spilled: get_usize("spilled")?,
-            workers: get_usize("workers")?,
             wall: Duration::from_secs_f64(wall_ms / 1e3),
         };
         let conclusive = get_bool("conclusive")?;
@@ -608,24 +592,7 @@ fn run_job_with_threads(job: &Job, cfg: &HarnessConfig, threads: usize) -> TestR
         ..ExploreLimits::from_params(&cfg.params)
     };
     let t0 = Instant::now();
-    let result = if cfg.distributed > 0 {
-        crate::distrib::run_source_distributed(
-            &job.source,
-            &cfg.params,
-            &limits,
-            &crate::distrib::DistribConfig {
-                workers: cfg.distributed,
-                launch: if cfg.tcp {
-                    crate::distrib::WorkerLaunch::TcpLoopback
-                } else {
-                    crate::distrib::WorkerLaunch::Unix
-                },
-                ..crate::distrib::DistribConfig::default()
-            },
-        )
-    } else {
-        run_limited(&job.test, &cfg.params, &limits)
-    };
+    let result = run_limited(&job.test, &cfg.params, &limits);
     let wall = t0.elapsed();
     let model_allows = result.witnessed;
     let matches = match job.expect {
@@ -645,7 +612,6 @@ fn run_job_with_threads(job: &Job, cfg: &HarnessConfig, threads: usize) -> TestR
         resident_peak: result.stats.resident_peak,
         bounded: result.stats.bounded,
         spilled: result.stats.spilled_states,
-        workers: cfg.distributed,
         wall,
     }
 }

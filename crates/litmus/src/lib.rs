@@ -26,7 +26,6 @@
 //! ```
 
 mod cond;
-pub mod distrib;
 mod families;
 pub mod harness;
 mod library;
@@ -35,10 +34,6 @@ mod run;
 mod test;
 
 pub use cond::{Cond, CondAtom, CondExpr, Quantifier};
-pub use distrib::{
-    maybe_run_worker, run_entry_distributed, run_remote_worker, run_source_distributed,
-    DistribConfig, WorkerLaunch,
-};
 pub use families::generated_suite;
 pub use harness::{
     run_job, run_suite, run_suite_jobs, HarnessConfig, HarnessReport, Job, TestReport,

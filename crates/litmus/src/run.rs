@@ -81,36 +81,6 @@ pub fn run_limited(test: &LitmusTest, params: &ModelParams, limits: &ExploreLimi
     let state = build_system(test, params);
     let (reg_obs, mem_obs) = observations(test);
     let out = explore_limited(&state, &reg_obs, &mem_obs, limits);
-    result_from_outcomes(test, &out)
-}
-
-/// The observation footprint a test's final condition needs: the
-/// queried `(thread, register)` pairs and `(address, width)` memory
-/// locations, each sorted and deduplicated.
-pub type Observations = (Vec<(usize, Reg)>, Vec<(u64, usize)>);
-
-/// The [`Observations`] of a test's final condition. Shared by the
-/// in-process engines and the distributed workers (every process must
-/// observe the *same* footprint or finals could not be merged
-/// byte-identically).
-#[must_use]
-pub fn observations(test: &LitmusTest) -> Observations {
-    let mut reg_obs = Vec::new();
-    test.cond.expr.reg_atoms(&mut reg_obs);
-    reg_obs.sort_unstable();
-    reg_obs.dedup();
-    let reg_obs: Vec<(usize, Reg)> = reg_obs.into_iter().map(|(t, g)| (t, Reg::Gpr(g))).collect();
-    let mut mem_names = Vec::new();
-    test.cond.expr.mem_atoms(&mut mem_names);
-    mem_names.sort_unstable();
-    mem_names.dedup();
-    let mem_obs: Vec<(u64, usize)> = mem_names.iter().map(|n| (test.locations[n], 4)).collect();
-    (reg_obs, mem_obs)
-}
-
-/// Evaluate a test's condition over explored outcomes — the common tail
-/// of [`run_limited`] and the distributed runner.
-pub(crate) fn result_from_outcomes(test: &LitmusTest, out: &ppc_model::Outcomes) -> RunResult {
     let witnessed = out
         .finals
         .iter()
@@ -129,8 +99,32 @@ pub(crate) fn result_from_outcomes(test: &LitmusTest, out: &ppc_model::Outcomes)
         finals: out.finals.len(),
         witnessed,
         holds,
-        stats: out.stats.clone(),
+        stats: out.stats,
     }
+}
+
+/// The observation footprint a test's final condition needs: the
+/// queried `(thread, register)` pairs and `(address, width)` memory
+/// locations, each sorted and deduplicated.
+pub type Observations = (Vec<(usize, Reg)>, Vec<(u64, usize)>);
+
+/// The [`Observations`] of a test's final condition: what every
+/// exploration of the test records in its final states, and so what
+/// callers driving the engines directly must pass to get the same
+/// finals as [`run_limited`].
+#[must_use]
+pub fn observations(test: &LitmusTest) -> Observations {
+    let mut reg_obs = Vec::new();
+    test.cond.expr.reg_atoms(&mut reg_obs);
+    reg_obs.sort_unstable();
+    reg_obs.dedup();
+    let reg_obs: Vec<(usize, Reg)> = reg_obs.into_iter().map(|(t, g)| (t, Reg::Gpr(g))).collect();
+    let mut mem_names = Vec::new();
+    test.cond.expr.mem_atoms(&mut mem_names);
+    mem_names.sort_unstable();
+    mem_names.dedup();
+    let mem_obs: Vec<(u64, usize)> = mem_names.iter().map(|n| (test.locations[n], 4)).collect();
+    (reg_obs, mem_obs)
 }
 
 /// A library entry's check report: model verdict vs expectation.

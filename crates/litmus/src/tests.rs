@@ -201,9 +201,10 @@ fn jsonl_report_round_trips() {
 /// design, since it also breaks every downstream consumer of
 /// `conformance-report.jsonl`. Schema changes are additive only:
 /// `resident_peak` was appended (spill-store change), `bounded` after
-/// it (context-bounding change), and `spilled`/`workers` after that
-/// (distributed-oracle change); everything before `resident_peak` is
-/// the PR 2 line, fields in the same order.
+/// it (context-bounding change), and `spilled`/`workers` after that;
+/// everything before `resident_peak` is the PR 2 line, fields in the
+/// same order. `workers` is retired: old lines carrying any value still
+/// parse, the key is still required, and fresh lines write `0`.
 #[test]
 fn jsonl_schema_is_stable() {
     use crate::harness::TestReport;
@@ -222,7 +223,6 @@ fn jsonl_schema_is_stable() {
     assert_eq!(r.finals, 4);
     assert_eq!(r.resident_peak, 96);
     assert_eq!(r.spilled, 31);
-    assert_eq!(r.workers, 2);
     assert!((r.wall.as_secs_f64() - 0.042_125).abs() < 1e-9);
     assert_eq!(r.pinned_by, "baseline\treordering");
 
@@ -243,6 +243,13 @@ fn jsonl_schema_is_stable() {
     assert!(TestReport::from_json_line(&missing_spilled).is_err());
     let missing_workers = frozen.replace(",\"workers\":2", "");
     assert!(TestReport::from_json_line(&missing_workers).is_err());
+
+    // Fresh lines keep the retired key, always at `0`.
+    assert!(
+        r.to_json().ends_with(",\"spilled\":31,\"workers\":0}"),
+        "{}",
+        r.to_json()
+    );
 }
 
 /// Escaped names survive the full serialise → parse cycle.
@@ -264,7 +271,6 @@ fn jsonl_escaping_round_trips() {
         resident_peak: 5,
         bounded: false,
         spilled: 0,
-        workers: 0,
         wall: Duration::from_micros(1500),
     };
     let line = original.to_json();
@@ -391,7 +397,6 @@ fn bounded_unwitnessed_is_never_conclusive() {
         resident_peak: 3,
         bounded: true,
         spilled: 0,
-        workers: 0,
         wall: Duration::from_millis(1),
     };
     assert!(

@@ -31,8 +31,6 @@
 //! and a pending-count termination detector) that visits the same state
 //! envelope and produces bit-identical [`oracle::Outcomes`].
 
-pub mod distrib;
-pub mod net;
 pub mod oracle;
 pub mod pretty;
 pub mod reduction;

@@ -101,8 +101,8 @@ pub struct ExplorationStats {
     /// `false` when a bound is set but never reached (the exploration
     /// was exhaustive after all).
     pub bounded: bool,
-    /// A spill-store I/O/corruption failure (or, distributed, a dead
-    /// worker) that cut the exploration short. Always paired with
+    /// A spill-store I/O/corruption failure that cut the exploration
+    /// short. Always paired with
     /// `truncated = true`: the result is inconclusive, never silently
     /// partial, but the process survives (the failure used to be an
     /// `expect()` abort).

@@ -15,9 +15,9 @@
 //! frontier states to temp files mid-exploration and read them back
 //! without perturbing the search (digests of decoded states equal the
 //! originals', because decode resolves all shared structure — semantics,
-//! blocks, static footprints — back to the same program-cache `Arc`s),
-//! and is the groundwork for resumable and cross-machine distributed
-//! exploration.
+//! blocks, static footprints — back to the same program-cache `Arc`s).
+//! Byte stability across independently built systems also makes the
+//! encoding a well-defined content for the committed golden tests.
 //!
 //! Format notes: all integers are LEB128 varints (`usize` travels as
 //! `u64`), bitvectors pack four lifted bits per byte, `BTreeMap`/

@@ -190,22 +190,6 @@ impl ColdRun {
         }
         Ok(false)
     }
-
-    /// Stream every digest in the run, in sorted order.
-    fn read_all(&mut self, out: &mut Vec<u64>) -> Result<(), StoreError> {
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(io_err("rewind visited run"))?;
-        let mut reader = BufReader::new(&self.file);
-        let mut buf = [0u8; 8];
-        for _ in 0..self.len {
-            reader
-                .read_exact(&mut buf)
-                .map_err(io_err("read visited run"))?;
-            out.push(u64::from_le_bytes(buf));
-        }
-        Ok(())
-    }
 }
 
 impl Drop for ColdRun {
@@ -371,22 +355,6 @@ impl StateStore {
             self.flush_shard(&mut s)?;
         }
         Ok(true)
-    }
-
-    /// Every digest currently in the visited set (hot ∪ cold across all
-    /// shards), sorted. This is the checkpoint/dump view of the visited
-    /// set; the exploration must be quiescent while it runs.
-    pub fn visited_snapshot(&self) -> Result<Vec<u64>, StoreError> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("visited shard poisoned");
-            out.extend(s.hot.iter().copied());
-            if let Some(cold) = &mut s.cold {
-                cold.read_all(&mut out)?;
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
     }
 
     /// Merge a shard's hot set and cold run into a fresh sorted run.
@@ -603,10 +571,9 @@ impl StateStore {
 
 /// One frontier-frame record's payload: the frame metadata (switch
 /// count, actor tag, sleep/wake sets) followed by the canonical state
-/// bytes. This is both the spill-segment record format and, with a
-/// digest prefix, the distributed wire/checkpoint format
-/// ([`crate::distrib`]) — one encoding, everywhere a frame leaves the
-/// process.
+/// bytes. This is the spill-segment record format: the one encoding
+/// by which a frame leaves memory, so a frame read back resumes the
+/// search exactly where it was spilled.
 pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64v(u64::from(f.switches));

@@ -1,10 +1,11 @@
 //! The submitting side of the oracle service: connect, frame a query,
 //! await the record line.
 //!
-//! Connections reuse `ppc_model::net::Conn` (TCP with bounded-retry
-//! backoff connect, `TCP_NODELAY`), and the client applies no read
-//! deadline by default — a cold exploration legitimately takes as long
-//! as it takes; the response arrives when the envelope is computed.
+//! The connect retries with exponential backoff (a client may start
+//! before the server has bound) and sets `TCP_NODELAY` (frames are
+//! small requests and replies). The client applies no read deadline —
+//! a cold exploration legitimately takes as long as it takes; the
+//! response arrives when the envelope is computed.
 
 use crate::oracle::OracleStats;
 use crate::proto::{
@@ -12,8 +13,15 @@ use crate::proto::{
     REQ_QUERY, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR, RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use ppc_litmus::Expectation;
-use ppc_model::net::Conn;
 use std::io;
+use std::net::TcpStream;
+use std::time::Duration;
+
+/// Connect attempts before giving up, and the backoff between them,
+/// doubling from the base up to the cap: about 9 s in the worst case.
+const CONNECT_ATTEMPTS: u32 = 10;
+const CONNECT_BACKOFF_BASE: Duration = Duration::from_millis(50);
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// A server's answer to one query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,7 +39,7 @@ pub enum Response {
 
 /// One connection to an `oracled` server.
 pub struct Client {
-    conn: Conn,
+    conn: TcpStream,
     seq_out: u64,
     seq_in: SeqCheck,
 }
@@ -44,8 +52,22 @@ impl Client {
     ///
     /// The last connect error after retries are exhausted.
     pub fn connect(addr: &str) -> io::Result<Client> {
+        let mut delay = CONNECT_BACKOFF_BASE;
+        let mut attempt = 1;
+        let conn = loop {
+            match TcpStream::connect(addr) {
+                Ok(conn) => break conn,
+                Err(e) if attempt == CONNECT_ATTEMPTS => return Err(e),
+                Err(_) => {
+                    std::thread::sleep(delay);
+                    delay = (delay * 2).min(CONNECT_BACKOFF_CAP);
+                    attempt += 1;
+                }
+            }
+        };
+        conn.set_nodelay(true)?;
         Ok(Client {
-            conn: Conn::connect_tcp_backoff(addr)?,
+            conn,
             seq_out: 0,
             seq_in: SeqCheck::default(),
         })

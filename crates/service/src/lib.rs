@@ -27,8 +27,8 @@
 //!   in-flight exploration) and persist the JSONL [`TestReport`] line
 //!   as both the stored record and the wire format.
 //! - [`proto`] / [`server`] / [`client`] — the length-prefixed framed
-//!   wire protocol (reusing `ppc_model::net`'s envelope conventions),
-//!   the `oracled` accept/serve loop, and the submitting client.
+//!   wire protocol, the `oracled` accept/serve loop over a std
+//!   `TcpListener`, and the submitting client.
 //!
 //! Bounded-tier honesty (Abdulla et al., context-bounded checking): a
 //! `truncated` or `bounded` record is cached and re-served as
@@ -59,8 +59,9 @@ pub use store::ResultStore;
 
 /// Version of the canonical query encoding ([`query`]). Bump whenever
 /// the key byte layout changes — old cache entries become unreachable
-/// (a clean re-explore) instead of being misinterpreted.
-pub const CANON_VERSION: u32 = 1;
+/// (a clean re-explore) instead of being misinterpreted. Version 2
+/// dropped the trailing worker-process count.
+pub const CANON_VERSION: u32 = 2;
 
 /// Version of the stored record schema (the JSONL [`TestReport`] line).
 /// The schema itself is additive-only; bump this only if a field ever

@@ -1,7 +1,6 @@
 //! The framed wire protocol between `oracle-client` and `oracled`.
 //!
-//! Envelope (everything little-endian), reusing `ppc_model::net`'s
-//! distributed-oracle conventions — a length prefix so frames are
+//! Envelope (everything little-endian): a length prefix so frames are
 //! delimited before they are interpreted, a sequence number so a
 //! dropped or duplicated frame is detected instead of silently
 //! desynchronizing the stream, then a tag byte and the body:

@@ -63,10 +63,6 @@ pub struct Query<'a> {
     /// budget can truncate the exploration, which changes the record
     /// (an inconclusive result), so it is part of the key.
     pub timeout_ms: u64,
-    /// Distributed worker processes (`0` = in-process). Recorded in the
-    /// report's `workers` field, so it is part of the key to keep
-    /// served bytes identical to what a live run would produce.
-    pub workers: usize,
 }
 
 impl<'a> Query<'a> {
@@ -79,7 +75,6 @@ impl<'a> Query<'a> {
             timeout_ms: cfg
                 .timeout_per_test
                 .map_or(0, |t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX)),
-            workers: cfg.distributed,
         }
     }
 
@@ -178,9 +173,15 @@ fn encode_params(w: &mut Writer, params: &ModelParams) {
 /// The canonical key encoding (see the module docs for the rules).
 #[must_use]
 pub fn canonical_key_bytes(q: &Query<'_>) -> Vec<u8> {
+    key_bytes_at(q, crate::CANON_VERSION)
+}
+
+/// [`canonical_key_bytes`] under an explicit canonical-encoding
+/// version, so the tests can check that a bump moves every key.
+fn key_bytes_at(q: &Query<'_>, canon_version: u32) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(b"PPCQ");
-    w.u64v(u64::from(crate::CANON_VERSION));
+    w.u64v(u64::from(canon_version));
     w.u64v(u64::from(crate::REPORT_VERSION));
     w.u64v(u64::from(crate::MODEL_VERSION));
 
@@ -227,7 +228,6 @@ pub fn canonical_key_bytes(q: &Query<'_>) -> Vec<u8> {
 
     encode_params(&mut w, q.params);
     w.u64v(q.timeout_ms);
-    w.usizev(q.workers);
     w.into_bytes()
 }
 
@@ -240,12 +240,11 @@ mod tests {
         Job::from_entry(&library()[0])
     }
 
-    fn key_of(job: &Job, params: &ModelParams, timeout_ms: u64, workers: usize) -> QueryKey {
+    fn key_of(job: &Job, params: &ModelParams, timeout_ms: u64) -> QueryKey {
         Query {
             job,
             params,
             timeout_ms,
-            workers,
         }
         .key()
     }
@@ -259,7 +258,7 @@ mod tests {
     fn key_sensitivity_walks_model_params() {
         let job = job();
         let base = ModelParams::default();
-        let base_key = key_of(&job, &base, 0, 0);
+        let base_key = key_of(&job, &base, 0);
 
         let sensitive: Vec<(&str, ModelParams)> = vec![
             (
@@ -314,7 +313,7 @@ mod tests {
         ];
         for (field, params) in sensitive {
             assert_ne!(
-                key_of(&job, &params, 0, 0),
+                key_of(&job, &params, 0),
                 base_key,
                 "changing `{field}` must change the cache key"
             );
@@ -338,22 +337,40 @@ mod tests {
         ];
         for (field, params) in insensitive {
             assert_eq!(
-                key_of(&job, &params, 0, 0),
+                key_of(&job, &params, 0),
                 base_key,
                 "`{field}` is a scheduling knob and must not change the cache key"
             );
         }
     }
 
-    /// Budgets outside `ModelParams` (wall-clock timeout, distributed
-    /// worker count) are also part of the key.
+    /// The wall-clock budget outside `ModelParams` is also part of the
+    /// key, and so is the canonical-encoding version: a bump must move
+    /// every key so no record stored under the old layout is reachable.
+    /// How many workers run a query (harness jobs, exploration threads)
+    /// is scheduling only and never part of the key.
     #[test]
     fn key_sensitivity_timeout_and_workers() {
         let job = job();
         let base = ModelParams::default();
-        let base_key = key_of(&job, &base, 0, 0);
-        assert_ne!(key_of(&job, &base, 5_000, 0), base_key);
-        assert_ne!(key_of(&job, &base, 0, 2), base_key);
+        let base_key = key_of(&job, &base, 0);
+        assert_ne!(key_of(&job, &base, 5_000), base_key);
+        let workers = HarnessConfig {
+            jobs: 4,
+            params: ModelParams {
+                threads: 4,
+                ..ModelParams::default()
+            },
+            ..HarnessConfig::default()
+        };
+        assert_eq!(Query::from_harness(&job, &workers).key(), base_key);
+        let q = Query {
+            job: &job,
+            params: &base,
+            timeout_ms: 0,
+        };
+        assert_eq!(key_bytes_at(&q, crate::CANON_VERSION), base_key.bytes);
+        assert_ne!(key_bytes_at(&q, crate::CANON_VERSION + 1), base_key.bytes);
     }
 
     /// Different programs (and different expectations or names for the
@@ -364,30 +381,30 @@ mod tests {
         let params = ModelParams::default();
         let a = Job::from_entry(&lib[0]);
         let b = Job::from_entry(&lib[1]);
-        assert_ne!(key_of(&a, &params, 0, 0), key_of(&b, &params, 0, 0));
+        assert_ne!(key_of(&a, &params, 0), key_of(&b, &params, 0));
 
         let mut flipped = a.clone();
         flipped.expect = match a.expect {
             Expectation::Allowed => Expectation::Forbidden,
             Expectation::Forbidden => Expectation::Allowed,
         };
-        assert_ne!(key_of(&a, &params, 0, 0), key_of(&flipped, &params, 0, 0));
+        assert_ne!(key_of(&a, &params, 0), key_of(&flipped, &params, 0));
 
         let mut renamed = a.clone();
         renamed.name.push('!');
-        assert_ne!(key_of(&a, &params, 0, 0), key_of(&renamed, &params, 0, 0));
+        assert_ne!(key_of(&a, &params, 0), key_of(&renamed, &params, 0));
     }
 
     /// The key is built from the canonical program encoding, not the
     /// source text: cosmetic whitespace produces the same key.
     #[test]
     fn key_ignores_source_whitespace() {
-        let lib = library();
-        let a = Job::from_entry(&lib[0]);
-        let mut b = a.clone();
-        b.source.push_str("\n\n");
+        let e = &library()[0];
+        let a = Job::from_source(e.source, e.expect, e.pinned_by).expect("parses");
+        let spaced = format!("\n{}\n\n", e.source.replace(';', " ;"));
+        let b = Job::from_source(&spaced, e.expect, e.pinned_by).expect("parses");
         let params = ModelParams::default();
-        assert_eq!(key_of(&a, &params, 0, 0), key_of(&b, &params, 0, 0));
+        assert_eq!(key_of(&a, &params, 0), key_of(&b, &params, 0));
     }
 
     /// Version bumps invalidate every key.
@@ -399,7 +416,6 @@ mod tests {
             job: &job,
             params: &params,
             timeout_ms: 0,
-            workers: 0,
         });
         // The three version varints sit right after the 4-byte magic;
         // all current versions are single-byte varints.

@@ -21,8 +21,8 @@ use crate::proto::{
     REQ_STATS, RESP_ERROR, RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use ppc_litmus::Job;
-use ppc_model::net::{is_timeout, Conn, Listener, NetParams};
 use std::io::{self, Read};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,9 +30,11 @@ use std::time::Duration;
 
 /// Accept-loop poll period while waiting for connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
-/// Read-timeout applied to connection sockets: the granularity at
-/// which an idle connection notices the shutdown flag.
-const CONN_POLL_MS: u64 = 100;
+/// Read and write deadline on connection sockets. Reads: the
+/// granularity at which an idle connection notices the shutdown flag.
+/// Writes: a client that stops draining its socket cannot wedge a
+/// handler forever (responses are small).
+const CONN_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Server tuning.
 #[derive(Clone, Debug)]
@@ -98,14 +100,17 @@ impl Drop for ServerHandle {
 /// Bind and start serving. Returns as soon as the listener is bound —
 /// the port is immediately connectable.
 ///
+/// The bind is tried once. std's `TcpListener::bind` sets
+/// `SO_REUSEADDR` on Unix, so a port whose previous listener left
+/// sockets in `TIME_WAIT` rebinds at once, and a port another
+/// listener holds fails at once with `AddrInUse`.
+///
 /// # Errors
 ///
 /// Propagates bind errors.
 pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle> {
-    let listener = Listener::bind_tcp(cfg.addr.as_str())?;
-    let port = listener
-        .tcp_port()
-        .ok_or_else(|| io::Error::other("no TCP port"))?;
+    let listener = TcpListener::bind(cfg.addr.as_str())?;
+    let port = listener.local_addr()?.port();
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&shutdown);
@@ -113,7 +118,7 @@ pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !flag.load(Ordering::Relaxed) {
             match listener.accept() {
-                Ok(conn) => {
+                Ok((conn, _)) => {
                     let oracle = Arc::clone(&oracle);
                     let flag = Arc::clone(&flag);
                     conns.push(std::thread::spawn(move || {
@@ -143,6 +148,16 @@ pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle
     })
 }
 
+/// `true` for the error kinds a timed-out socket read (or an empty
+/// non-blocking accept) surfaces: `WouldBlock` on Unix, `TimedOut` on
+/// some other platforms.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Read exactly `buf.len()` bytes, riding out the poll timeout.
 /// `allow_idle_exit` (header reads only) lets the loop give up when
 /// the shutdown flag rises *before any byte arrived* — mid-frame, the
@@ -156,7 +171,7 @@ enum PolledRead {
 }
 
 fn read_full_polled(
-    conn: &mut Conn,
+    conn: &mut TcpStream,
     buf: &mut [u8],
     flag: &AtomicBool,
     allow_idle_exit: bool,
@@ -187,7 +202,7 @@ fn read_full_polled(
 }
 
 /// Read one frame with shutdown polling at the frame boundary.
-fn read_frame_polled(conn: &mut Conn, flag: &AtomicBool) -> io::Result<Option<Frame>> {
+fn read_frame_polled(conn: &mut TcpStream, flag: &AtomicBool) -> io::Result<Option<Frame>> {
     let mut lenbuf = [0u8; 4];
     match read_full_polled(conn, &mut lenbuf, flag, true)? {
         PolledRead::Eof | PolledRead::Shutdown => return Ok(None),
@@ -218,14 +233,14 @@ fn read_frame_polled(conn: &mut Conn, flag: &AtomicBool) -> io::Result<Option<Fr
 }
 
 /// Serve one connection until EOF, shutdown, or a protocol error.
-fn handle_conn(mut conn: Conn, oracle: &Oracle, flag: &AtomicBool) -> io::Result<()> {
-    // Short read timeout = shutdown-poll granularity. (Writes keep a
-    // generous bound so a stalled client can't wedge a handler
-    // forever; responses are small.)
-    conn.apply_net(&NetParams::from_millis(CONN_POLL_MS, CONN_POLL_MS * 2))?;
+fn handle_conn(mut conn: TcpStream, oracle: &Oracle, flag: &AtomicBool) -> io::Result<()> {
+    // Small request/response frames: send each at once.
+    conn.set_nodelay(true)?;
+    conn.set_read_timeout(Some(CONN_TIMEOUT))?;
+    conn.set_write_timeout(Some(CONN_TIMEOUT))?;
     let mut seq_in = SeqCheck::default();
     let mut seq_out = 0u64;
-    let mut send = |conn: &mut Conn, tag: u8, body: &[u8]| -> io::Result<()> {
+    let mut send = |conn: &mut TcpStream, tag: u8, body: &[u8]| -> io::Result<()> {
         let r = write_frame(conn, seq_out, tag, body);
         seq_out += 1;
         r

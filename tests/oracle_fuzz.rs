@@ -348,8 +348,6 @@ fn harness_reports_oversized_budget_as_inconclusive() {
         },
         jobs: 1,
         timeout_per_test: None,
-        distributed: 0,
-        tcp: false,
     };
     let report = run_one(&entry, &cfg);
     assert!(report.truncated, "budget must truncate {OVERSIZED}");
@@ -375,8 +373,6 @@ fn harness_reports_expired_deadline_as_inconclusive() {
         params: ModelParams::default(),
         jobs: 1,
         timeout_per_test: Some(Duration::ZERO),
-        distributed: 0,
-        tcp: false,
     };
     let report = run_one(&entry, &cfg);
     assert!(

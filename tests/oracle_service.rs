@@ -17,7 +17,9 @@
 //!   whole, identical responses (no torn frames) and the server
 //!   explores each distinct content key exactly once (singleflight);
 //! - a protocol-violating client (garbage length prefix) loses its
-//!   connection but does not take the server down.
+//!   connection but does not take the server down;
+//! - `serve` on a held port fails at once, and a server restarted on
+//!   the same port right after shutdown binds at once.
 
 use ppcmem::litmus::harness::HarnessConfig;
 use ppcmem::litmus::TestReport;
@@ -223,5 +225,55 @@ fn garbage_frame_drops_one_connection_not_the_server() {
     let (cached, line) = submit(&mut client, &tiny_source(0), Budget::default());
     assert!(!cached);
     assert!(TestReport::from_json_line(&line).expect("parses").matches);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `serve` binds once: a port another listener holds fails at once
+/// with `AddrInUse`, and a server restarted on the same explicit port
+/// right after `shutdown()` binds at once. In the restart the old
+/// server closes its connection first, leaving that socket in
+/// `TIME_WAIT` on the port; std's `SO_REUSEADDR` lets the rebind
+/// through.
+#[test]
+fn serve_fails_fast_on_held_port_and_rebinds_after_shutdown() {
+    use std::time::{Duration, Instant};
+    let dir = create_unique_temp_dir("oracle-e2e").expect("temp dir");
+    let oracle = Arc::new(Oracle::with_cache(HarnessConfig::default(), &dir).expect("open cache"));
+
+    let holder = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let cfg = ServerConfig {
+        addr: holder.local_addr().expect("held addr").to_string(),
+    };
+    let t0 = Instant::now();
+    let Err(err) = serve(&cfg, Arc::clone(&oracle)) else {
+        panic!("serve bound a port another listener holds");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "a held port must fail fast, took {:?}",
+        t0.elapsed()
+    );
+    drop(holder);
+
+    let mut first = serve(&cfg, Arc::clone(&oracle)).expect("bind the freed port");
+    let mut client = connect(&first);
+    let (_, line) = submit(&mut client, &tiny_source(7), Budget::default());
+    first.shutdown();
+    drop(client);
+
+    let t0 = Instant::now();
+    let second = serve(&cfg, oracle).expect("rebind right after shutdown");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "rebind took {:?}",
+        t0.elapsed()
+    );
+    let mut client = connect(&second);
+    assert_eq!(
+        submit(&mut client, &tiny_source(7), Budget::default()),
+        (true, line),
+        "the restarted server answers from the same store"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,8 +6,8 @@
 //! (`decode(encode(s)) == s` under structural equality, same digest, and
 //! identical successor behaviour), and — unlike the `Arc`-pointer-based
 //! digests — its bytes must be identical across two *independently
-//! built* systems for the same test, which is what makes resumable and
-//! cross-machine exploration possible.
+//! built* systems for the same test, which is what lets committed
+//! golden encodings pin the format.
 //!
 //! States are drawn from seeded random exploration prefixes: start at a
 //! litmus test's initial state and repeatedly apply a pseudo-randomly
@@ -184,7 +184,7 @@ fn encoding_is_stable_across_independent_builds() {
                 "{name}: cross-rebuild encoding diverged at step {step}"
             );
             // Cross-decode: bytes from build A decode in build B's
-            // context (this is the distributed-exploration handshake).
+            // context (the encoding carries no build-specific state).
             let b_from_a = ctx_b.decode(&ea).expect("cross-decode");
             assert!(b_from_a == b, "{name}: cross-decoded state diverged");
 
@@ -205,8 +205,8 @@ fn encoding_is_stable_across_independent_builds() {
 /// encode to the exact hex strings committed in
 /// `tests/data/golden_encodings.txt`, captured before the
 /// per-component-digest and inline-`Bv` refactors. A diff here means
-/// the codec's byte format changed — which breaks resumable spills and
-/// cross-machine exploration — not just an in-memory representation.
+/// the codec's byte format changed — which breaks every stored
+/// encoding — not just an in-memory representation.
 #[test]
 fn canonical_bytes_match_committed_golden_encodings() {
     let golden = include_str!("data/golden_encodings.txt");
