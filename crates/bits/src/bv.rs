@@ -17,10 +17,14 @@ use crate::Bit;
 /// Vectors of at most 64 bits — every architected register, address,
 /// memory value, and flag in the model — are stored inline as two packed
 /// words (`ones` and `undef` planes), so constructing, slicing, and
-/// combining them never allocates. Longer vectors (only the 128-bit
-/// intermediate products of the multiply family) spill to a `Vec<Bit>`.
-/// The representation is *canonical*: `len <= 64` if and only if the
-/// packed form is used, which lets equality, ordering, and hashing
+/// combining them never allocates. Longer vectors (the 128-bit
+/// intermediate products of the multiply family, and multi-byte memory
+/// writes such as the up-to-512-bit initial-memory runs of the
+/// sequential ISA tests) use the *multiword* form: the same two planes,
+/// each a run of 64-bit words, in one heap allocation. Both forms are
+/// LSB-aligned, so concatenating, slicing, splicing, and comparing move
+/// whole words. The representation is *canonical*: `len <= 64` if and
+/// only if the inline form is used, which lets equality and hashing
 /// compare the packed words directly.
 ///
 /// # Example
@@ -46,9 +50,13 @@ enum Repr {
     /// ones-plane value) and bits at positions `>= len` are zero in both
     /// planes.
     Small { len: u8, ones: u64, undef: u64 },
-    /// `len > 64` only (the canonicality invariant): currently just the
-    /// double-width multiply intermediates.
-    Heap(Vec<Bit>),
+    /// `len > 64` only (the canonicality invariant). The buffer is
+    /// `[len, ones words…, undef words…]`, each plane
+    /// `len.div_ceil(64)` words with the least significant word first;
+    /// MSB0 bit `i` is plane bit `len - 1 - i`, as in the small form,
+    /// and the same invariants hold. One allocation keeps `Bv` at 24
+    /// bytes.
+    Wide(Box<[u64]>),
 }
 
 /// The low-`len` bit mask (`len <= 64`).
@@ -61,9 +69,88 @@ pub(crate) fn mask(len: usize) -> u64 {
     }
 }
 
+/// The `(ones, undef)` planes of a multiword buffer.
+fn planes(buf: &[u64]) -> (&[u64], &[u64]) {
+    buf[1..].split_at((buf.len() - 1) / 2)
+}
+
+/// `(pos, n)` pieces of at most 64 bits covering positions `0..len`.
+fn chunks(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(64)
+        .map(move |pos| (pos, (len - pos).min(64)))
+}
+
+/// The `n <= 64` bits of `plane` starting at bit position `pos`.
+fn read_bits(plane: &[u64], pos: usize, n: usize) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let (w, off) = (pos / 64, pos % 64);
+    let mut v = plane[w] >> off;
+    if off + n > 64 {
+        v |= plane[w + 1] << (64 - off);
+    }
+    v & mask(n)
+}
+
+/// OR the low `n <= 64` bits of `v` into `plane` at bit position `pos`.
+fn or_bits(plane: &mut [u64], pos: usize, n: usize, v: u64) {
+    if n == 0 {
+        return;
+    }
+    let v = v & mask(n);
+    let (w, off) = (pos / 64, pos % 64);
+    plane[w] |= v << off;
+    if off + n > 64 {
+        plane[w + 1] |= v >> (64 - off);
+    }
+}
+
+/// A zeroed multiword vector under construction: fields are OR-ed in,
+/// so each bit position may be written once.
+struct WideBuf(Box<[u64]>);
+
+impl WideBuf {
+    fn new(len: usize) -> Self {
+        debug_assert!(len > 64, "multiword form holds more than 64 bits");
+        let mut buf = vec![0u64; 1 + 2 * len.div_ceil(64)].into_boxed_slice();
+        buf[0] = len as u64;
+        WideBuf(buf)
+    }
+
+    /// OR `n <= 64` bits of both planes in at position `pos`.
+    fn or_in(&mut self, pos: usize, n: usize, ones: u64, undef: u64) {
+        let nw = (self.0.len() - 1) / 2;
+        let (o, u) = self.0[1..].split_at_mut(nw);
+        or_bits(o, pos, n, ones);
+        or_bits(u, pos, n, undef);
+    }
+
+    /// Copy the `n` bits of `src` at position `from` to position `pos`.
+    fn copy(&mut self, pos: usize, src: &Bv, from: usize, n: usize) {
+        for (k, c) in chunks(n) {
+            let (o, u) = src.planes_at(from + k, c);
+            self.or_in(pos + k, c, o, u);
+        }
+    }
+
+    fn finish(self) -> Bv {
+        let (o, u) = planes(&self.0);
+        debug_assert!(
+            o.iter().zip(u).all(|(a, b)| a & b == 0),
+            "ones/undef planes overlap"
+        );
+        Bv {
+            repr: Repr::Wide(self.0),
+        }
+    }
+}
+
 /// Incremental MSB-first constructor: packs into the small form and
-/// spills to the heap form at the 65th bit. [`FromIterator`] and the
-/// generic paths of the bitwise operations are built on this.
+/// spills to a bit list at the 65th bit, packed into the multiword form
+/// by `finish`. [`FromIterator`] and the generic paths of the bitwise
+/// operations are built on this.
 pub(crate) enum Builder {
     Small { len: usize, ones: u64, undef: u64 },
     Heap(Vec<Bit>),
@@ -106,7 +193,7 @@ impl Builder {
     pub(crate) fn finish(self) -> Bv {
         match self {
             Builder::Small { len, ones, undef } => Bv::small(len, ones, undef),
-            Builder::Heap(bits) => Bv::heap(bits),
+            Builder::Heap(bits) => Bv::from_bits(bits),
         }
     }
 }
@@ -142,29 +229,38 @@ impl Bv {
         }
     }
 
-    /// Heap constructor for `len > 64`; packs short vectors to keep the
-    /// representation canonical.
-    fn heap(bits: Vec<Bit>) -> Self {
-        if bits.len() <= 64 {
-            let mut b = Builder::new();
-            for bit in bits {
-                b.push(bit);
-            }
-            b.finish()
-        } else {
-            Bv {
-                repr: Repr::Heap(bits),
-            }
-        }
-    }
-
     /// The packed planes `(len, ones, undef)` when in small form — the
     /// hook the fast paths in `arith.rs` dispatch on.
     pub(crate) fn small_parts(&self) -> Option<(usize, u64, u64)> {
         match &self.repr {
             Repr::Small { len, ones, undef } => Some((*len as usize, *ones, *undef)),
-            Repr::Heap(_) => None,
+            Repr::Wide(_) => None,
         }
+    }
+
+    /// The `(ones, undef)` planes of the `n <= 64` bits at u64 bit
+    /// position `pos` (counted from the LSB), in either form.
+    fn planes_at(&self, pos: usize, n: usize) -> (u64, u64) {
+        match &self.repr {
+            _ if n == 0 => (0, 0),
+            Repr::Small { ones, undef, .. } => ((ones >> pos) & mask(n), (undef >> pos) & mask(n)),
+            Repr::Wide(buf) => {
+                let (o, u) = planes(buf);
+                (read_bits(o, pos, n), read_bits(u, pos, n))
+            }
+        }
+    }
+
+    /// `len` copies of the low bit of each plane word (`0` or `u64::MAX`).
+    fn splat(len: usize, ones: u64, undef: u64) -> Self {
+        if len <= 64 {
+            return Bv::small(len, ones & mask(len), undef & mask(len));
+        }
+        let mut out = WideBuf::new(len);
+        for (pos, n) in chunks(len) {
+            out.or_in(pos, n, ones, undef);
+        }
+        out.finish()
     }
 
     /// An empty (zero-length) bitvector.
@@ -176,21 +272,13 @@ impl Bv {
     /// A vector of `len` zero bits.
     #[must_use]
     pub fn zeros(len: usize) -> Self {
-        if len <= 64 {
-            Bv::small(len, 0, 0)
-        } else {
-            Bv::heap(vec![Bit::Zero; len])
-        }
+        Bv::splat(len, 0, 0)
     }
 
     /// A vector of `len` one bits.
     #[must_use]
     pub fn ones(len: usize) -> Self {
-        if len <= 64 {
-            Bv::small(len, mask(len), 0)
-        } else {
-            Bv::heap(vec![Bit::One; len])
-        }
+        Bv::splat(len, u64::MAX, 0)
     }
 
     /// A vector of `len` undefined bits.
@@ -199,17 +287,26 @@ impl Bv {
     /// distinguished *unknown* fed to reads during footprint analysis.
     #[must_use]
     pub fn undef(len: usize) -> Self {
-        if len <= 64 {
-            Bv::small(len, 0, mask(len))
-        } else {
-            Bv::heap(vec![Bit::Undef; len])
-        }
+        Bv::splat(len, 0, u64::MAX)
     }
 
     /// Build from an explicit MSB-first bit sequence.
     #[must_use]
     pub fn from_bits(bits: Vec<Bit>) -> Self {
-        Bv::heap(bits)
+        let n = bits.len();
+        if n <= 64 {
+            return bits.into_iter().collect();
+        }
+        let mut out = WideBuf::new(n);
+        for (i, b) in bits.into_iter().enumerate() {
+            out.or_in(
+                n - 1 - i,
+                1,
+                u64::from(b == Bit::One),
+                u64::from(b.is_undef()),
+            );
+        }
+        out.finish()
     }
 
     /// The low `len` bits of `value`, MSB-first.
@@ -249,13 +346,12 @@ impl Bv {
             }
             Bv::small(bytes.len() * 8, ones, 0)
         } else {
-            let mut bits = Vec::with_capacity(bytes.len() * 8);
-            for &byte in bytes {
-                for i in (0..8).rev() {
-                    bits.push(Bit::from_bool((byte >> i) & 1 == 1));
-                }
+            let n = bytes.len() * 8;
+            let mut out = WideBuf::new(n);
+            for (k, &byte) in bytes.iter().enumerate() {
+                out.or_in(n - 8 * (k + 1), 8, u64::from(byte), 0);
             }
-            Bv::heap(bits)
+            out.finish()
         }
     }
 
@@ -264,7 +360,7 @@ impl Bv {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Small { len, .. } => *len as usize,
-            Repr::Heap(bits) => bits.len(),
+            Repr::Wide(buf) => buf[0] as usize,
         }
     }
 
@@ -287,7 +383,13 @@ impl Bv {
                 assert!(i < len, "bit index {i} out of range for Bv of length {len}");
                 unpack(*ones, *undef, len - 1 - i)
             }
-            Repr::Heap(bits) => bits[i],
+            Repr::Wide(buf) => {
+                let len = buf[0] as usize;
+                assert!(i < len, "bit index {i} out of range for Bv of length {len}");
+                let p = len - 1 - i;
+                let (o, u) = planes(buf);
+                unpack(o[p / 64], u[p / 64], p % 64)
+            }
         }
     }
 
@@ -311,11 +413,7 @@ impl Bv {
                 }
                 Bv::small(len, ones, undef)
             }
-            Repr::Heap(bits) => {
-                let mut bits = bits.clone();
-                bits[i] = b;
-                Bv::heap(bits)
-            }
+            Repr::Wide(_) => self.with_slice(i, &Bv::from_bit(b)),
         }
     }
 
@@ -329,7 +427,7 @@ impl Bv {
     pub fn has_undef(&self) -> bool {
         match &self.repr {
             Repr::Small { undef, .. } => *undef != 0,
-            Repr::Heap(bits) => bits.iter().any(|b| b.is_undef()),
+            Repr::Wide(buf) => planes(buf).1.iter().any(|&w| w != 0),
         }
     }
 
@@ -338,7 +436,10 @@ impl Bv {
     pub fn all_undef(&self) -> bool {
         match &self.repr {
             Repr::Small { len, undef, .. } => *len > 0 && *undef == mask(*len as usize),
-            Repr::Heap(bits) => bits.iter().all(|b| b.is_undef()),
+            Repr::Wide(buf) => {
+                let undef_bits: u32 = planes(buf).1.iter().map(|w| w.count_ones()).sum();
+                undef_bits as usize == self.len()
+            }
         }
     }
 
@@ -366,29 +467,15 @@ impl Bv {
     /// bytes.
     #[must_use]
     pub fn to_bytes(&self) -> Option<Vec<u8>> {
-        if !self.len().is_multiple_of(8) {
+        let n = self.len();
+        if !n.is_multiple_of(8) || self.has_undef() {
             return None;
         }
-        if let Some((n, ones, undef)) = self.small_parts() {
-            if undef != 0 {
-                return None;
-            }
-            return Some(
-                (0..n / 8)
-                    .map(|k| (ones >> (n - 8 * (k + 1))) as u8)
-                    .collect(),
-            );
-        }
-        let mut out = Vec::with_capacity(self.len() / 8);
-        let mut byte = 0u8;
-        for (i, b) in self.iter().enumerate() {
-            byte = (byte << 1) | u8::from(b.to_bool()?);
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        Some(out)
+        Some(
+            (0..n / 8)
+                .map(|k| self.planes_at(n - 8 * (k + 1), 8).0 as u8)
+                .collect(),
+        )
     }
 
     /// Big-endian bytes as lifted 8-bit vectors (always succeeds for whole
@@ -419,27 +506,14 @@ impl Bv {
             start + len,
             self.len()
         );
-        match &self.repr {
-            Repr::Small {
-                len: n,
-                ones,
-                undef,
-            } => {
-                let shift = *n as usize - start - len;
-                Bv::small(
-                    len,
-                    (ones >> shift) & mask(len),
-                    (undef >> shift) & mask(len),
-                )
-            }
-            Repr::Heap(bits) => {
-                if len > 64 {
-                    Bv::heap(bits[start..start + len].to_vec())
-                } else {
-                    bits[start..start + len].iter().copied().collect()
-                }
-            }
+        let pos = self.len() - start - len;
+        if len <= 64 {
+            let (ones, undef) = self.planes_at(pos, len);
+            return Bv::small(len, ones, undef);
         }
+        let mut out = WideBuf::new(len);
+        out.copy(0, self, pos, len);
+        out.finish()
     }
 
     /// Replace the `value.len()` bits starting at MSB0 index `start`.
@@ -468,12 +542,15 @@ impl Bv {
                     (undef & !field) | (vundef << shift),
                 )
             }
-            Repr::Heap(bits) => {
-                let mut bits = bits.clone();
-                for (k, b) in value.iter().enumerate() {
-                    bits[start + k] = b;
-                }
-                Bv::heap(bits)
+            Repr::Wide(_) => {
+                // Low part of self, then value, then the high part.
+                let (n, vlen) = (self.len(), value.len());
+                let pos = n - start - vlen;
+                let mut out = WideBuf::new(n);
+                out.copy(0, self, 0, pos);
+                out.copy(pos, value, 0, vlen);
+                out.copy(pos + vlen, self, pos + vlen, start);
+                out.finish()
             }
         }
     }
@@ -494,7 +571,11 @@ impl Bv {
                 return Bv::small(an + bn, (ao << bn) | bo, (au << bn) | bu);
             }
         }
-        self.iter().chain(other.iter()).collect()
+        let (an, bn) = (self.len(), other.len());
+        let mut out = WideBuf::new(an + bn);
+        out.copy(0, other, 0, bn);
+        out.copy(bn, self, 0, an);
+        out.finish()
     }
 
     /// Zero-extend (or truncate, keeping low bits) to `len` bits.
@@ -549,11 +630,12 @@ impl Bv {
         if self.len() != other.len() {
             return false;
         }
-        if let (Some((_, ao, au)), Some((_, bo, bu))) = (self.small_parts(), other.small_parts()) {
-            // Incompatible iff some mutually defined position differs.
-            return (ao ^ bo) & !au & !bu == 0;
-        }
-        self.iter().zip(other.iter()).all(|(a, b)| a.compatible(b))
+        // Incompatible iff some mutually defined position differs.
+        chunks(self.len()).all(|(pos, n)| {
+            let (ao, au) = self.planes_at(pos, n);
+            let (bo, bu) = other.planes_at(pos, n);
+            (ao ^ bo) & !au & !bu == 0
+        })
     }
 
     /// Reverse the byte order (for the byte-reversed load/store family).
@@ -579,12 +661,13 @@ impl Bv {
                     (undef << shift).swap_bytes(),
                 )
             }
-            Repr::Heap(bits) => {
-                let mut out = Vec::with_capacity(bits.len());
-                for chunk in bits.chunks(8).rev() {
-                    out.extend_from_slice(chunk);
+            Repr::Wide(_) => {
+                let n = self.len();
+                let mut out = WideBuf::new(n);
+                for pos in (0..n).step_by(8) {
+                    out.copy(n - 8 - pos, self, pos, 8);
                 }
-                Bv::heap(out)
+                out.finish()
             }
         }
     }
@@ -607,7 +690,7 @@ impl PartialEq for Bv {
                     undef: u2,
                 },
             ) => len == l2 && ones == o2 && undef == u2,
-            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            (Repr::Wide(a), Repr::Wide(b)) => a == b,
             // Canonical representation: different variants have different
             // lengths (<= 64 vs > 64).
             _ => false,
@@ -660,7 +743,7 @@ impl std::hash::Hash for Bv {
                 state.write_u64(*ones);
                 state.write_u64(*undef);
             }
-            Repr::Heap(bits) => bits.hash(state),
+            Repr::Wide(buf) => buf.hash(state),
         }
     }
 }

@@ -644,6 +644,15 @@ impl ThreadState {
     /// The *final* architected value of a register: a read as if by an
     /// instruction po-after the last instance on the (unique, finished)
     /// path. Used for litmus final-condition evaluation.
+    ///
+    /// Word at a time: `need` marks the bits no write has supplied yet
+    /// (MSB0 bit `i` is mask bit `width - 1 - i`). Each same-register
+    /// write, deepest instance first and newest first within one, gives
+    /// its still-needed bits; the initial value fills the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register is wider than 64 bits (none is).
     #[must_use]
     pub fn final_reg(&self, reg: Reg) -> Bv {
         // Find the deepest instance on the path.
@@ -656,26 +665,37 @@ impl ThreadState {
             }
         }
         let width = reg.width();
-        let mut bits = Vec::with_capacity(width);
-        'bit: for bitpos in 0..width {
-            let bit_slice = RegSlice::new(reg, bitpos, 1);
-            let mut cur = last;
-            while let Some(c) = cur {
-                let j = &self.instances[c];
-                if let Some((ws, wv)) = j
-                    .reg_writes
-                    .iter()
-                    .rev()
-                    .find(|(ws, _)| ws.contains(&bit_slice))
-                {
-                    bits.push(wv.bit(bitpos - ws.start));
-                    continue 'bit;
-                }
-                cur = j.parent;
+        assert!(width <= 64, "{reg} is wider than a word");
+        let low = |n: usize| ((1u128 << n) - 1) as u64;
+        let mut need = low(width);
+        let mut out = Bv::zeros(width);
+        // Copy the needed bits of register field `[start, start + len)`
+        // from `src` (MSB0 bit `k` of `src` is register bit `start + k`),
+        // one contiguous run of needed bits at a time.
+        let mut take = |start: usize, len: usize, src: &Bv, need: &mut u64| {
+            let field = low(len) << (width - start - len);
+            let mut run_bits = *need & field;
+            *need &= !field;
+            while run_bits != 0 {
+                let top = 63 - run_bits.leading_zeros() as usize;
+                let run = (run_bits << (63 - top)).leading_ones() as usize;
+                let i = width - 1 - top;
+                out = out.with_slice(i, &src.slice(i - start, run));
+                run_bits &= !(low(run) << (top + 1 - run));
             }
-            bits.push(self.init_reg(reg).bit(bitpos));
+        };
+        let mut cur = last;
+        while let Some(c) = cur.filter(|_| need != 0) {
+            let j = &self.instances[c];
+            for (ws, wv) in j.reg_writes.iter().rev().filter(|(ws, _)| ws.reg == reg) {
+                take(ws.start, ws.len, wv, &mut need);
+            }
+            cur = j.parent;
         }
-        Bv::from_bits(bits)
+        if need != 0 {
+            take(0, width, &self.init_reg(reg), &mut need);
+        }
+        out
     }
 
     /// Compute the transitive restart closure of `seed` over register

@@ -782,12 +782,11 @@ pub fn run_one(test: &SeqTest) -> Result<(), String> {
         }
     }
     // Compare the scratch memory region byte-by-byte via coherence-final
-    // values (single thread: unique completion).
+    // values (single thread: unique completion). Single-threaded runs
+    // have totally ordered writes per byte (accept-order), so the
+    // writes_seen order (creation order) is coherence-consistent.
+    let order: Vec<ppc_model::WriteId> = fin.storage.writes_seen.iter().copied().collect();
     for (&addr, gbyte) in &golden.state.mem {
-        let order: Vec<ppc_model::WriteId> = fin.storage.writes_seen.iter().copied().collect();
-        // Single-threaded runs have totally ordered writes per byte
-        // (accept-order), so the writes_seen order (creation order) is
-        // coherence-consistent.
         if let Some(mbyte) = fin.storage.final_byte_value(&order, addr) {
             if !gbyte.compatible(&mbyte) {
                 return Err(format!(
